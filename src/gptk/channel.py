@@ -15,7 +15,6 @@ dualization, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .linalg import basis_vec, is_zero_vec, mat_mul, mat_vec, vec
@@ -26,6 +25,7 @@ from .ous import (
     from_ambient,
     sub_ous,
 )
+from .systems import classical
 from .testspace import canon_key
 from .vweight import ValuedWeight
 
@@ -180,12 +180,6 @@ def markov_compose(j: MarkovKernel, k: MarkovKernel) -> MarkovKernel:
     return MarkovKernel(mat_mul(k.matrix, j.matrix))
 
 
-def function_space(n: int) -> OrderUnitSpace:
-    """Bounded functions on an n-point space: orthant cone, all-ones unit."""
-    gens = tuple(basis_vec(n, i) for i in range(n))
-    return OrderUnitSpace(n, gens, tuple(Fraction(1) for _ in range(n)))
-
-
 def markov_dual(k: MarkovKernel) -> LinearMap:
     """g -> (s -> sum_t k(s,t) g(t)), a channel between function spaces."""
-    return LinearMap(function_space(k.cols), function_space(k.rows), k.matrix)
+    return LinearMap(classical(k.cols), classical(k.rows), k.matrix)

@@ -25,7 +25,7 @@ from .errors import InputError
 from .linalg import is_zero_vec, rank, tensor_vec, vdot, vec
 from .lp import verify_farkas
 from .modj import Catalog, Observable, build_modj, extend_to_state
-from .ous import OrderUnitSpace, dual_rays, state_polytope_vertices
+from .ous import OrderUnitSpace, cone_contains, dual_rays, state_polytope_vertices
 from .polyhedra import extreme_rays, hull_membership, in_cone, polytope_vertices
 from .testspace import TestSpace, is_probability_weight, make_testspace
 from .vweight import Model
@@ -204,7 +204,7 @@ class BilinearRule:
         object.__setattr__(self, "coefficients", co)
         for g in self.a.cone_generators:
             for h in self.b.cone_generators:
-                if not in_cone(self.target.cone_generators, self.apply(g, h)):
+                if not cone_contains(self.target, self.apply(g, h)):
                     raise InputError("bilinear map is not positive on cone pairs")
         if self.apply(self.a.unit, self.b.unit) != self.target.unit:
             raise InputError("bilinear map must send the unit pair to the unit")

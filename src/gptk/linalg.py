@@ -45,10 +45,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def vscale(c, a: Vec) -> Vec:
     c = frac(c)
     return tuple(c * x for x in a)
@@ -80,10 +76,6 @@ def tensor_vec(a: Vec, b: Vec) -> Vec:
 
 def mat_vec(rows, v: Vec) -> Vec:
     return tuple(vdot(tuple(r), v) for r in rows)
-
-
-def transpose(rows):
-    return tuple(tuple(col) for col in zip(*rows))
 
 
 def mat_mul(a, b):

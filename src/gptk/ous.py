@@ -6,6 +6,12 @@ pointed and spanning, the unit lies in the cone and dominates every basis
 direction.  States are functionals in dual coordinates, effects are vectors
 between 0 and the unit; both are plain tuples of Fractions.
 
+Questions about a space's own cone are answered from its facets,
+``dual_rays(space)``, computed by one double-description pass and cached.
+By Minkowski-Weyl the cone is exactly where every facet is nonnegative, so
+validation, cone membership, the order-unit test and the state vertices are
+sign checks against those facets.
+
 Sub-spaces built from an effect interval carry ``ambient_basis``, the row
 basis embedding their coordinates back into the parent space.  Closedness of
 these polyhedral cones is what makes every order unit Archimedean here; that
@@ -15,14 +21,11 @@ is a property of the representation, not something a finite test can probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, StructureError
-from .lp import LinProb, EQ
 from .linalg import (
     Vec,
-    basis_vec,
     is_zero_vec,
     rank,
     rref,
@@ -32,8 +35,6 @@ from .linalg import (
     vsum,
 )
 from .polyhedra import extreme_rays, in_cone, polytope_vertices
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,26 +72,17 @@ def _validate_space(space: OrderUnitSpace):
         raise InputError("unit dimension mismatch")
     if rank(space.cone_generators) != d:
         raise StructureError("cone generators do not span the space")
-    if _has_nontrivial_zero_combination(space.cone_generators):
+    # The facets exist only for spanning generators; the cone is pointed iff
+    # they span the dual space, and the unit is interior iff no facet vanishes
+    # on it.
+    facets = dual_rays(space)
+    if rank(facets) != d:
         raise StructureError("cone is not pointed")
-    if not in_cone(space.cone_generators, space.unit):
+    values = [vdot(f, space.unit) for f in facets]
+    if any(x < 0 for x in values):
         raise StructureError("unit does not lie in the cone")
-    if not is_order_unit(space, space.unit, _validated=True):
+    if any(x == 0 for x in values):
         raise StructureError("unit is not an order unit")
-
-
-def _has_nontrivial_zero_combination(gens) -> bool:
-    # The cone contains a line iff 0 is a nontrivial nonnegative combination
-    # of the generators; normalizing the coefficients to sum 1 rules out the
-    # trivial combination.
-    dim = len(gens[0])
-    prob = LinProb()
-    for i, _ in enumerate(gens):
-        prob.var(("l", i))
-    for coord in range(dim):
-        prob.add({("l", i): g[coord] for i, g in enumerate(gens)}, EQ, 0)
-    prob.add({("l", i): 1 for i in range(len(gens))}, EQ, 1)
-    return prob.feasible() is not None
 
 
 def space(generators, unit, dim=None) -> OrderUnitSpace:
@@ -107,8 +99,9 @@ def _check_dim(space: OrderUnitSpace, v) -> Vec:
 
 
 def cone_contains(space: OrderUnitSpace, v) -> bool:
-    """Exact LP feasibility of v = sum_i lambda_i g_i with lambda >= 0."""
-    return in_cone(space.cone_generators, _check_dim(space, v))
+    """True iff every cached facet of the cone is nonnegative on v."""
+    v = _check_dim(space, v)
+    return all(vdot(f, v) >= 0 for f in dual_rays(space))
 
 
 def is_effect(space: OrderUnitSpace, v) -> bool:
@@ -133,41 +126,23 @@ def dual_rays(space: OrderUnitSpace) -> tuple:
 
 @lru_cache(maxsize=None)
 def _state_vertices(space: OrderUnitSpace) -> tuple:
-    ineqs = [(g, 0) for g in space.cone_generators]
-    eqs = [(space.unit, 1)]
-    try:
-        verts = polytope_vertices(ineqs, eqs, space.dim)
-    except StructureError as exc:
-        raise StructureError("state set unbounded: unit is not an order unit") from exc
-    return tuple(verts)
+    return tuple(sorted(tuple(x / vdot(f, space.unit) for x in f) for f in dual_rays(space)))
 
 
 def state_polytope_vertices(space: OrderUnitSpace) -> list:
-    """The extreme points of {f : f >= 0 on the cone, f(unit) = 1}."""
+    """The extreme points of {f : f >= 0 on the cone, f(unit) = 1}.
+
+    These are the cached facets, each scaled to take the value 1 on the unit."""
     return list(_state_vertices(space))
 
 
-def is_order_unit(space: OrderUnitSpace, v, _validated=False) -> bool:
-    """True iff each basis direction e_i satisfies -t v <= e_i <= t v for some t > 0."""
-    v = v if _validated else _check_dim(space, v)
-    gens = space.cone_generators
-    for i in range(space.dim):
-        e = basis_vec(space.dim, i)
-        prob = LinProb()
-        prob.var("t")
-        for k, _ in enumerate(gens):
-            prob.var(("p", k))
-            prob.var(("m", k))
-        for coord in range(space.dim):
-            row = {("p", k): -g[coord] for k, g in enumerate(gens)}
-            row["t"] = v[coord]
-            prob.add(row, EQ, e[coord])
-            row = {("m", k): -g[coord] for k, g in enumerate(gens)}
-            row["t"] = v[coord]
-            prob.add(row, EQ, -e[coord])
-        if prob.feasible() is None:
-            return False
-    return True
+def is_order_unit(space: OrderUnitSpace, v) -> bool:
+    """True iff v is interior to the cone: every cached facet is positive on v.
+
+    Equivalently, each basis direction e_i satisfies -t v <= e_i <= t v for
+    some t > 0."""
+    v = _check_dim(space, v)
+    return all(vdot(f, v) > 0 for f in dual_rays(space))
 
 
 def interval_vertices(space: OrderUnitSpace, v) -> list:

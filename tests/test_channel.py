@@ -9,7 +9,6 @@ from gptk.channel import (
     MarkovKernel,
     compose_linear,
     compose_valued_weight,
-    function_space,
     identity_map,
     induced_morphism,
     is_channel,
@@ -22,7 +21,7 @@ from gptk.errors import InputError
 from gptk.linalg import vdot, vec
 from gptk.modj import Catalog, build_modj, observable
 from gptk.ous import state_polytope_vertices, to_ambient
-from gptk.systems import bit, coin_testspace, delta_catalog
+from gptk.systems import bit, classical, coin_testspace, delta_catalog
 from gptk.vweight import ValuedWeight, is_valued_weight
 
 HALF = F(1, 2)
@@ -210,7 +209,7 @@ def test_markov_dual_examples():
     assert d((1, 0)) == (HALF, 0)
     assert d((1, 1)) == (1, 1)  # unit preserved
     ident = MarkovKernel(((1, 0), (0, 1)))
-    assert markov_dual(ident).matrix == identity_map(function_space(2)).matrix
+    assert markov_dual(ident).matrix == identity_map(classical(2)).matrix
 
 
 def test_markov_duals_are_channels():

@@ -5,7 +5,8 @@ import pytest
 from conftest import brute_polytope_vertices, rand_cone_element, rand_effect
 
 from gptk.errors import InputError, StructureError
-from gptk.linalg import vdot, vec, vsub
+from gptk.composite import min_rule
+from gptk.linalg import basis_vec, vadd, vdot, vec, vscale, vsub
 from gptk.ous import (
     OrderUnitSpace,
     cone_contains,
@@ -90,15 +91,19 @@ def test_is_order_unit():
     assert is_order_unit(b, (1, 1))
     assert not is_order_unit(b, (1, 0))
     assert is_order_unit(b, (2, 3))
+    with pytest.raises(InputError):
+        is_order_unit(b, (1, 2, 3))
 
 
 def test_invalid_spaces_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^cone is not pointed$"):
         OrderUnitSpace(2, ((1, 0), (-1, 0), (0, 1)), (0, 1))  # line in the cone
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^cone generators do not span the space$"):
         OrderUnitSpace(2, ((1, 0),), (1, 0))  # generators do not span
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^unit does not lie in the cone$"):
         OrderUnitSpace(2, ((1, 0), (0, 1)), (1, -1))  # unit outside the cone
+    with pytest.raises(StructureError, match="^unit is not an order unit$"):
+        OrderUnitSpace(2, ((1, 0), (0, 1)), (1, 0))  # unit on the boundary
 
 
 def test_sub_ous_ray():
@@ -198,10 +203,54 @@ def test_sub_space_span_is_difference_of_positives():
         assert in_cone(gens_amb + [tuple(-x for x in g) for g in gens_amb], diff)
 
 
+def _circle_polygon():
+    # the cone over a rational heptagon around the origin, via the rational
+    # parametrisation of the unit circle
+    ts = (0, F(1, 2), 1, 2, -3, -1, -F(1, 3))
+    gens = tuple((1, (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in map(F, ts))
+    return OrderUnitSpace(3, gens, (1, 0, 0))
+
+
+def _probe_spaces():
+    return (bit(), trit(), square_bit(), _circle_polygon(),
+            min_rule(square_bit(), square_bit()).target)
+
+
+def _probe_points(rng, sp):
+    """Points inside, on the boundary of and outside the cone of ``sp``."""
+    u = sp.unit
+    points = []
+    facets = dual_rays(sp)
+    for f in rng.sample(facets, min(4, len(facets))):
+        face = [g for g in sp.cone_generators if vdot(f, g) == 0]
+        on_face = vec([0] * sp.dim)
+        for g in face:
+            on_face = vadd(on_face, vscale(F(rng.randint(0, 3), rng.randint(1, 3)), g))
+        points.append(on_face)                                            # boundary
+        points.append(vsub(on_face, vscale(F(1, rng.randint(2, 9)), u)))  # outside
+    for _ in range(4):
+        points.append(vadd(rand_cone_element(rng, sp), vscale(F(1, 7), u)))  # inside
+        points.append(tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(sp.dim)))
+    return points
+
+
 def test_dual_rays_give_h_representation():
+    # facet sign checks against the LP over the generators
     rng = random.Random(13)
-    for sp in (bit(), square_bit()):
-        rays = dual_rays(sp)
-        for _ in range(10):
-            x = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(sp.dim))
-            assert cone_contains(sp, x) == all(vdot(f, x) >= 0 for f in rays)
+    for sp in _probe_spaces():
+        for x in _probe_points(rng, sp):
+            assert cone_contains(sp, x) == in_cone(sp.cone_generators, x)
+
+
+def _order_unit_by_definition(sp, v):
+    # v is an order unit iff every +-e_i lies in cone({v} u {-g : g a generator})
+    gens = [v] + [vscale(-1, g) for g in sp.cone_generators]
+    return all(in_cone(gens, vscale(s, basis_vec(sp.dim, i)))
+               for i in range(sp.dim) for s in (1, -1))
+
+
+def test_is_order_unit_matches_its_definition():
+    rng = random.Random(17)
+    for sp in _probe_spaces():
+        for v in [sp.unit] + _probe_points(rng, sp):
+            assert is_order_unit(sp, v) == _order_unit_by_definition(sp, v)
