@@ -99,6 +99,11 @@ def load(path) -> ModelFile:
     unknown = set(doc) - _SECTIONS
     if unknown:
         raise InputError(f"{path}: unknown sections {sorted(unknown)}")
+    for section, body in sorted(doc.items()):
+        if section == "effects" and not isinstance(body, list):
+            raise InputError(f"{section}: section must be a list")
+        if section != "effects" and not isinstance(body, dict):
+            raise InputError(f"{section}: section must be an object")
     mf = ModelFile()
 
     for name, rec in sorted(doc.get("spaces", {}).items()):
@@ -106,6 +111,8 @@ def load(path) -> ModelFile:
         gens = parse_matrix(_req(rec, "cone_generators", where), where)
         unit = parse_vector(_req(rec, "unit", where), where)
         dim = rec.get("dim", len(unit))
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise InputError(f"{where}.dim: {dim!r} is not an integer")
         mf.spaces[name] = OrderUnitSpace(dim, gens, unit)
 
     for i, rec in enumerate(doc.get("effects", [])):

@@ -1,10 +1,13 @@
 """Polyhedral conversions: H-representation to extreme rays and vertices.
 
 ``extreme_rays`` is an incremental double-description pass over a pointed
-cone given by inequality normals; adjacency of rays is decided by the exact
-algebraic rank test on their common active constraints.  ``polytope_vertices``
-reduces a bounded H-polytope to a cone by eliminating equality constraints
-and homogenizing, then normalizes the rays back to vertices.
+cone given by inequality normals, run on primitive integer rays.  Each ray
+carries its zero set, the processed normals it lies on, as an int bitset,
+and adjacency of rays is the combinatorial test of Fukuda and Prodon
+(*Double description method revisited*, 1996): no third ray's zero set
+contains the two rays' common zero set.  ``polytope_vertices`` reduces a
+bounded H-polytope to a cone by eliminating equality constraints and
+homogenizing, then normalizes the rays back to vertices.
 
 Everything is exact; ray outputs are primitive integer vectors and vertex
 lists are canonically sorted, so the results are deterministic.
@@ -13,36 +16,48 @@ lists are canonically sorted, so the results are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import StructureError
 from .lp import LinProb, EQ, GE
 from .linalg import (
     basis_vec,
     invert,
-    is_zero_vec,
     nullspace,
-    primitive,
-    rank,
     solve_linear,
     vadd,
     vdot,
     vec,
     vscale,
-    vsub,
     zeros,
 )
 
-_ZERO = Fraction(0)
+
+def _int_ray(v) -> tuple:
+    """Primitive integer representative of the ray through a rational vector."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def _independent_subset(rows, dim):
-    picked = []
+    """Indices of the first rows, greedily, that span R^dim; None if they do not.
+
+    One fraction-free elimination pass: each row is reduced against the
+    echelon rows kept so far, and kept when something is left."""
+    echelon = []  # (pivot column, integer row zero on earlier pivots)
     idx = []
     for i, r in enumerate(rows):
-        if rank(picked + [r]) > len(picked):
-            picked.append(r)
+        for c, e in echelon:
+            if r[c]:
+                r = [e[c] * x - r[c] * y for x, y in zip(r, e)]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is not None:
+            g = gcd(*r)
+            echelon.append((c, [x // g for x in r]))
             idx.append(i)
-            if len(picked) == dim:
+            if len(idx) == dim:
                 return idx
     return None
 
@@ -53,52 +68,41 @@ def extreme_rays(normals, dim: int) -> list:
     Raises StructureError when the normals do not have full rank (the cone
     then contains a line and has no extreme-ray description).
     """
-    rows = [vec(a) for a in normals if not is_zero_vec(vec(a))]
-    seen = set()
-    uniq = []
-    for r in rows:
-        p = primitive(r)
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    rows = uniq
+    rows = list(dict.fromkeys(r for r in (_int_ray(vec(a)) for a in normals) if any(r)))
     base = _independent_subset(rows, dim)
     if base is None:
         raise StructureError("cone is not pointed (inequality normals do not span)")
+    # The start cone is simplicial: ray j lies on every base normal but the
+    # j-th.  Bit t of a zero set stands for rows[t].
     inv = invert([rows[i] for i in base])
-    rays = [primitive(tuple(inv[i][j] for i in range(dim))) for j in range(dim)]
-    processed = list(base)
-    remaining = [i for i in range(len(rows)) if i not in set(base)]
-
-    for t in remaining:
-        a = rows[t]
-        vals = [vdot(a, r) for r in rays]
-        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        zer = [r for r, v in zip(rays, vals) if v == 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        if not neg:
-            processed.append(t)
+    in_base = sum(1 << i for i in base)
+    rays = {_int_ray([inv[i][j] for i in range(dim)]): in_base & ~(1 << t)
+            for j, t in enumerate(base)}
+    for t, a in enumerate(rows):
+        if in_base >> t & 1:
             continue
-        new_rays = [r for r, _ in pos] + zer
-        new_set = set(new_rays)
-        for p, vp in pos:
-            for q, vq in neg:
-                if not _adjacent(rows, processed, p, q, dim):
+        pos, neg, kept = [], [], {}
+        for r, z in rays.items():
+            v = sum(x * y for x, y in zip(a, r))
+            if v > 0:
+                pos.append((r, z, v))
+                kept[r] = z
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept[r] = z | (1 << t)
+        for p, zp, vp in pos:
+            for q, zq, vq in neg:
+                common = zp & zq
+                if common.bit_count() < dim - 2 or any(
+                        z & common == common for r, z in rays.items()
+                        if r is not p and r is not q):
                     continue
-                w = primitive(vsub(vscale(vp, q), vscale(vq, p)))
-                if not is_zero_vec(w) and w not in new_set:
-                    new_set.add(w)
-                    new_rays.append(w)
-        rays = new_rays
-        processed.append(t)
-    return sorted(rays)
-
-
-def _adjacent(rows, processed, p, q, dim):
-    if dim < 2:
-        return False
-    active = [rows[i] for i in processed if vdot(rows[i], p) == 0 and vdot(rows[i], q) == 0]
-    return rank(active) == dim - 2
+                w = [vp * y - vq * x for x, y in zip(p, q)]
+                g = gcd(*w)
+                kept[tuple(x // g for x in w)] = common | (1 << t)
+        rays = kept
+    return [tuple(map(Fraction, r)) for r in sorted(rays)]
 
 
 def polytope_vertices(ineqs, eqs, dim: int) -> list:

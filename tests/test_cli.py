@@ -62,3 +62,20 @@ def test_float_in_file_rejected(tmp_path):
     r = run_cli("validate", str(p))
     assert r.returncode == 2
     assert "float" in r.stderr
+
+
+def test_malformed_sections_exit_two(tmp_path):
+    # wrong JSON types at the input boundary give a located InputError
+    space = '"cone_generators": [[1, 0], [0, 1]], "unit": [1, 1]'
+    cases = [
+        ('{"spaces": {"bit": {"dim": "2", %s}}}' % space, "spaces.bit.dim: '2' is not an integer"),
+        ('{"spaces": {"bit": {"dim": true, %s}}}' % space, "spaces.bit.dim: True is not an integer"),
+        ('{"spaces": []}', "spaces: section must be an object"),
+        ('{"effects": {}}', "effects: section must be a list"),
+    ]
+    p = tmp_path / "m.json"
+    for text, message in cases:
+        p.write_text(text)
+        r = run_cli("validate", str(p))
+        assert r.returncode == 2
+        assert r.stderr == f"error: {message}\n"

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import brute_polytope_vertices, rand_cone_element, rand_effect
+from hypothesis import assume, given, settings, strategies as st
 
 from gptk.errors import InputError, StructureError
 from gptk.composite import min_rule
-from gptk.linalg import basis_vec, vadd, vdot, vec, vscale, vsub
+from gptk.linalg import basis_vec, rank, vadd, vdot, vec, vscale, vsub, vsum
 from gptk.ous import (
     OrderUnitSpace,
     cone_contains,
@@ -240,6 +241,29 @@ def test_dual_rays_give_h_representation():
     for sp in _probe_spaces():
         for x in _probe_points(rng, sp):
             assert cone_contains(sp, x) == in_cone(sp.cone_generators, x)
+
+
+@st.composite
+def _spanning_cones(draw):
+    # first coordinates >= 1 keep the cone pointed, and the sum of all the
+    # generators is interior once they span, so it is an order unit
+    dim = draw(st.integers(2, 4))
+    gen = st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (dim - 1))
+    gens = draw(st.lists(gen, min_size=dim, max_size=dim + 3))
+    assume(rank(gens) == dim)
+    return OrderUnitSpace(dim, gens, vsum(vec(g) for g in gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spanning_cones(), st.data())
+def test_cone_contains_matches_generator_lp_on_random_cones(sp, data):
+    n = len(sp.cone_generators)
+    coeffs = data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    combo = vsum((vscale(c, g) for c, g in zip(coeffs, sp.cone_generators)), sp.dim)
+    free = vec(data.draw(st.lists(st.fractions(-3, 3, max_denominator=5),
+                                  min_size=sp.dim, max_size=sp.dim)))
+    for v in (combo, free):
+        assert cone_contains(sp, v) == in_cone(sp.cone_generators, v)
 
 
 def _order_unit_by_definition(sp, v):

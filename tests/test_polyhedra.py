@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, product
+from math import comb, gcd
 
 import pytest
 from conftest import brute_extreme_rays, brute_polytope_vertices, rand_fraction
 
+from gptk import linalg, polyhedra
 from gptk.errors import StructureError
+from gptk.linalg import rank, tensor_vec, vdot
+from gptk.ous import dual_rays
 from gptk.polyhedra import extreme_rays, hull_membership, in_cone, polytope_vertices
 from gptk.lp import verify_farkas
+from gptk.systems import classical, square_bit
 
 
 def test_orthant_rays():
@@ -92,3 +98,84 @@ def test_hull_membership_and_certificate():
 def test_in_cone():
     assert in_cone([(1, 0), (1, 1)], (3, 2))
     assert not in_cone([(1, 0), (1, 1)], (0, -1))
+
+
+def _assert_canonical(rays):
+    assert rays == sorted(rays)
+    for r in rays:
+        assert all(type(x) is F and x.denominator == 1 for x in r)
+        assert gcd(*(x.numerator for x in r)) == 1
+
+
+def _square_max_normals():
+    sq = square_bit()
+    return [tensor_vec(f, g) for f in dual_rays(sq) for g in dual_rays(sq)]
+
+
+def test_tensor_cones_match_oracle():
+    # facets and generators of stock spaces, tensored: degenerate cones whose
+    # rays lie on many more than dim - 1 normals
+    # (b (x) a is a coordinate permutation of a (x) b, so pairs are unordered)
+    cones = set()
+    for a, b in combinations_with_replacement([square_bit(), classical(2), classical(3)], 2):
+        for xs, ys in product((dual_rays(a), a.cone_generators),
+                              (dual_rays(b), b.cone_generators)):
+            cones.add((tuple(sorted(tensor_vec(x, y) for x in xs for y in ys)), a.dim * b.dim))
+    checked = 0
+    for normals, dim in sorted(cones):
+        if comb(len(normals), dim - 1) > 500:
+            continue  # too big for the brute-force oracle
+        got = extreme_rays(normals, dim)
+        _assert_canonical(got)
+        assert got == brute_extreme_rays(normals, dim)
+        checked += 1
+    assert checked == 7
+
+
+def test_degenerate_sign_cones_match_oracle():
+    # {-1, 0, 1} normals with duplicated and positively rescaled rows
+    rng = random.Random(3)
+    for _ in range(20):
+        dim = rng.choice([5, 6])
+        normals = [tuple(rng.choice((-1, 0, 1)) for _ in range(dim))
+                   for _ in range(rng.randint(dim, dim + 2))]
+        for _ in range(rng.randint(1, 2)):
+            row = rng.choice(normals)
+            normals.append(tuple(F(rng.randint(1, 5), rng.randint(1, 3)) * x for x in row))
+        rng.shuffle(normals)
+        try:
+            got = extreme_rays(normals, dim)
+        except StructureError:
+            assert rank(normals) < dim
+            continue
+        _assert_canonical(got)
+        assert got == brute_extreme_rays(normals, dim)
+
+
+def test_square_max_cone_rays():
+    normals = _square_max_normals()
+    assert len(normals) == 16
+    rays = extreme_rays(normals, 9)
+    _assert_canonical(rays)
+    assert len(rays) == 24
+    for r in rays:
+        assert all(vdot(a, r) >= 0 for a in normals)
+        assert rank([a for a in normals if vdot(a, r) == 0]) == 8
+
+
+def test_extreme_rays_runs_one_rref(monkeypatch):
+    # operation-count gate: the only elimination over Fractions is the
+    # inverse of the start basis
+    normals = _square_max_normals()
+    calls = []
+    real = linalg.rref
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    if hasattr(polyhedra, "rref"):
+        monkeypatch.setattr(polyhedra, "rref", counting)
+    assert len(extreme_rays(normals, 9)) == 24
+    assert len(calls) <= 1
