@@ -25,8 +25,13 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+# Vectors are built as tuple([...]), not tuple(<generator>): a tuple built from a
+# list is allocated at its final size, so a freed vector returns to the free
+# list that the next vector of that size draws from.  tuple(<generator>)
+# allocates ten slots and shrinks, so its freed tuples pile up, unused, in the
+# interpreter's per-size free lists.
 def vec(xs) -> Vec:
-    return tuple(frac(x) for x in xs)
+    return tuple([frac(x) for x in xs])
 
 
 def zeros(n: int) -> Vec:
@@ -34,20 +39,20 @@ def zeros(n: int) -> Vec:
 
 
 def basis_vec(n: int, i: int) -> Vec:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
+    return tuple([_ONE if j == i else _ZERO for j in range(n)])
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return tuple([x + y for x, y in zip(a, b, strict=True)])
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    return tuple([x - y for x, y in zip(a, b, strict=True)])
 
 
 def vscale(c, a: Vec) -> Vec:
     c = frac(c)
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
@@ -71,7 +76,7 @@ def is_zero_vec(a: Vec) -> bool:
 
 def tensor_vec(a: Vec, b: Vec) -> Vec:
     """Kronecker product; index (i, j) flattens to i*len(b) + j."""
-    return tuple(x * y for x in a for y in b)
+    return tuple([x * y for x in a for y in b])
 
 
 def mat_vec(rows, v: Vec) -> Vec:

@@ -1,7 +1,13 @@
 """Exact-rational linear programming.
 
-A two-phase primal simplex over ``Fraction`` with Bland's anti-cycling rule.
-The low-level entry point works on the standard form
+A two-phase primal simplex with Bland's anti-cycling rule, run on integer
+rows: each tableau row is a list of ``int`` numerators over one positive
+``int`` denominator, and a pivot is a fraction-free row update followed by
+one gcd reduction (Edmonds 1967; Bareiss 1968).  ``Fraction`` appears only
+at the boundary: each input row is scaled by the lcm of its denominators,
+and the assignment, the optimal value and the Farkas certificate are built
+as Fractions at the end.  The low-level entry point works on the standard
+form
 
     max c.x   subject to   A x = b,  x >= 0,
 
@@ -15,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from .errors import ConsistencyError, InputError
 from .linalg import frac
@@ -27,39 +35,73 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _pivot(tableau, obj, basis, prow, pcol):
-    row = tableau[prow]
-    pv = row[pcol]
-    row = [x / pv for x in row]
-    tableau[prow] = row
-    for i, other in enumerate(tableau):
-        if i != prow and other[pcol] != 0:
-            f = other[pcol]
-            tableau[i] = [x - f * y for x, y in zip(other, row)]
-    if obj[pcol] != 0:
-        f = obj[pcol]
-        obj[:] = [x - f * y for x, y in zip(obj, row)]
+def _primitive(row, den):
+    """Divide an integer row and its positive denominator by their gcd.
+
+    gcd and lcm are folded with reduce rather than called on *args: an
+    argument tuple of 20 items is kept, once freed, in a free list that
+    CPython 3.11 never draws from, so one per row would pile up."""
+    g = reduce(gcd, row, den)
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+def _pivot(rows, dens, basis, prow, pcol):
+    """Pivot on (prow, pcol).  Row i stands for rows[i] / dens[i]; the last
+    row is the objective.
+
+    The pivot row becomes itself over its pivot entry.  Every other row r
+    with f = r[pcol] != 0 becomes (r * pd - f * p) / (dens[i] * pd), which
+    zeroes its pivot column, and is then reduced by its gcd."""
+    p = rows[prow]
+    if p[pcol] < 0:
+        p = [-x for x in p]
+    p, pd = _primitive(p, p[pcol])
+    rows[prow], dens[prow] = p, pd
+    for i, r in enumerate(rows):
+        f = r[pcol]
+        if f and i != prow:
+            rows[i], dens[i] = _primitive([x * pd - f * y for x, y in zip(r, p)], dens[i] * pd)
     basis[prow] = pcol
 
 
-def _run(tableau, obj, basis, enterable):
+def _run(rows, dens, basis, enterable):
     """Bland's rule: enter the smallest column with positive reduced cost,
-    leave on the minimum ratio with ties broken by smallest basis variable."""
+    leave on the minimum ratio with ties broken by smallest basis variable.
+
+    A row's denominator cancels in its ratio rhs / coef, so ratios are
+    compared by cross-multiplying the numerators."""
     while True:
+        obj = rows[-1]
         enter = next((j for j in range(enterable) if obj[j] > 0), None)
         if enter is None:
             return OPTIMAL
-        best = None
         best_row = None
-        for i, row in enumerate(tableau):
-            coef = row[enter]
+        for i, bv in enumerate(basis):
+            coef = rows[i][enter]
             if coef > 0:
-                key = (row[-1] / coef, basis[i])
-                if best is None or key < best:
-                    best, best_row = key, i
+                rhs = rows[i][-1]
+                if best_row is not None:
+                    # sign of rhs / coef - best_rhs / best_coef
+                    d = rhs * best_coef - best_rhs * coef
+                    if d > 0 or d == 0 and bv > basis[best_row]:
+                        continue
+                best_row, best_rhs, best_coef = i, rhs, coef
         if best_row is None:
             return UNBOUNDED
-        _pivot(tableau, obj, basis, best_row, enter)
+        _pivot(rows, dens, basis, best_row, enter)
+
+
+def _weighted_sum(rows, dens, weights, width):
+    """sum_i weights[i] * rows[i] / dens[i] as integers over one denominator."""
+    den = reduce(lcm, dens, 1)
+    acc = [0] * width
+    for r, d, w in zip(rows, dens, weights):
+        if w:
+            k = w * (den // d)
+            acc = [a + k * x for a, x in zip(acc, r)]
+    return acc, den
 
 
 def solve_standard(a_rows, b, c=None):
@@ -70,63 +112,71 @@ def solve_standard(a_rows, b, c=None):
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else (len(c) if c else 0)
-    signs = [1 if frac(bi) >= 0 else -1 for bi in b]
-    tableau = []
+    width = n + m + 1
+    # Row i of [A | I | b], sign-flipped so b_i >= 0, over the lcm of its
+    # denominators; its artificial entry equals that denominator.
+    rows, dens, signs = [], [], []
     for i in range(m):
-        row = [signs[i] * frac(x) for x in a_rows[i]]
-        row += [_ONE if j == i else _ZERO for j in range(m)]
-        row.append(signs[i] * frac(b[i]))
-        tableau.append(row)
+        q = [frac(x) for x in a_rows[i]] + [frac(b[i])]
+        sign = 1 if q[-1] >= 0 else -1
+        den = reduce(lcm, [x.denominator for x in q])
+        nums = [sign * x.numerator * (den // x.denominator) for x in q]
+        rows.append(nums[:n] + [den if j == i else 0 for j in range(m)] + nums[n:])
+        dens.append(den)
+        signs.append(sign)
     basis = [n + i for i in range(m)]
-    total = n + m
 
     # Phase 1: maximize -sum(artificials); initial reduced costs are the
     # column sums over the original columns, zero on the artificial block.
-    obj = [sum((tableau[i][j] for i in range(m)), _ZERO) for j in range(n)]
-    obj += [_ZERO] * m
-    obj.append(sum((tableau[i][-1] for i in range(m)), _ZERO))
-    status = _run(tableau, obj, basis, total)
+    obj, den = _weighted_sum(rows, dens, [1] * m, width)
+    obj[n:n + m] = [0] * m
+    obj, den = _primitive(obj, den)
+    rows.append(obj)
+    dens.append(den)
+    status = _run(rows, dens, basis, n + m)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise ConsistencyError("phase-1 simplex cannot be unbounded")
+    obj, den = rows[-1], dens[-1]
     if obj[-1] != 0:
-        farkas = tuple(signs[i] * (_ONE + obj[n + i]) for i in range(m))
+        farkas = tuple([signs[i] * Fraction(den + obj[n + i], den) for i in range(m)])
         return INFEASIBLE, None, None, farkas
 
     # Drive artificial variables out of the basis; drop redundant rows.
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            col = next((j for j in range(n) if rows[i][j] != 0), None)
             if col is None:
                 continue  # redundant constraint
-            _pivot(tableau, obj, basis, i, col)
+            _pivot(rows, dens, basis, i, col)
         keep.append(i)
-    tableau = [tableau[i] for i in keep]
+    rows = [rows[i] for i in keep]
+    dens = [dens[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     if c is None:
-        x = _extract(tableau, basis, n)
-        return OPTIMAL, x, _ZERO, None
+        return OPTIMAL, _extract(rows, dens, basis, n), _ZERO, None
 
+    # Phase 2 reduced costs c_j - sum_i c_B(i) T[i][j], with c = cn / cd.
     c = [frac(x) for x in c]
-    obj = []
-    for j in range(n):
-        red = c[j] - sum((c[basis[i]] * tableau[i][j] for i in range(len(basis))), _ZERO)
-        obj.append(red)
-    obj += [_ZERO] * m
-    obj.append(-sum((c[basis[i]] * tableau[i][-1] for i in range(len(basis))), _ZERO))
-    status = _run(tableau, obj, basis, n)
+    cd = reduce(lcm, [x.denominator for x in c], 1)
+    cn = [x.numerator * (cd // x.denominator) for x in c]
+    s, den = _weighted_sum(rows, dens, [cn[bv] for bv in basis], width)
+    obj, den = _primitive([cn[j] * den - s[j] for j in range(n)] + [0] * m + [-s[-1]], cd * den)
+    rows.append(obj)
+    dens.append(den)
+    status = _run(rows, dens, basis, n)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None, None
-    x = _extract(tableau, basis, n)
-    return OPTIMAL, x, -obj[-1], None
+    x = _extract(rows, dens, basis, n)
+    return OPTIMAL, x, Fraction(-rows[-1][-1], dens[-1]), None
 
 
-def _extract(tableau, basis, n):
+def _extract(rows, dens, basis, n):
     x = [_ZERO] * n
-    for i, bv in enumerate(basis):
+    for r, d, bv in zip(rows, dens, basis):
         if bv < n:
-            x[bv] = tableau[i][-1]
+            x[bv] = Fraction(r[-1], d)
     return tuple(x)
 
 

@@ -32,6 +32,8 @@ def parse_rational(x, where="") -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x.lower():
+            raise InputError(f"{where}: {x!r} uses exponent notation; use 'p/q' strings")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -94,6 +96,8 @@ def load(path) -> ModelFile:
             doc = json.load(fh, parse_float=_reject_float)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an over-long integer literal, or bytes that are not UTF-8
+            raise InputError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     unknown = set(doc) - _SECTIONS
@@ -173,6 +177,11 @@ def load(path) -> ModelFile:
             w = f"{where}.observables[{k}]"
             idx = _req(raw, "indices", w)
             refs = _req(raw, "effects", w)
+            if not isinstance(idx, list) or not isinstance(refs, list):
+                raise InputError(f"{w}: indices and effects must be lists")
+            for i in idx:
+                if not isinstance(i, (str, int)) or isinstance(i, bool):
+                    raise InputError(f"{w}.indices: {i!r} is not a string or an integer")
             if len(idx) != len(refs):
                 raise InputError(f"{w}: indices and effects differ in length")
             assignment = {}

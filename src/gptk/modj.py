@@ -164,7 +164,7 @@ def extend_to_state(space: OrderUnitSpace, constraints) -> Vec | None:
     sol = prob.feasible()
     if sol is None:
         return None
-    return tuple(sol[("f", i)] for i in range(space.dim))
+    return tuple([sol[("f", i)] for i in range(space.dim)])
 
 
 @dataclass(frozen=True)

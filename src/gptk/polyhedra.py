@@ -35,7 +35,7 @@ from .linalg import (
 
 def _int_ray(v) -> tuple:
     """Primitive integer representative of the ray through a rational vector."""
-    den = lcm(*(x.denominator for x in v))
+    den = lcm(*[x.denominator for x in v])
     ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
@@ -157,16 +157,22 @@ def polytope_vertices(ineqs, eqs, dim: int) -> list:
     return sorted(set(verts))
 
 
+def _combination_lp(points, target):
+    """The LP in weights l_i >= 0 with sum_i l_i * points[i] = target, one row
+    per coordinate, and the names of its weights."""
+    pts = [vec(p) for p in points]
+    weights = [("l", i) for i in range(len(pts))]
+    prob = LinProb()
+    for w in weights:
+        prob.var(w)
+    for coord, t in enumerate(vec(target)):
+        prob.add({w: p[coord] for w, p in zip(weights, pts)}, EQ, t)
+    return prob, weights
+
+
 def in_cone(generators, v) -> bool:
     """Membership of v in the cone nonnegatively generated by ``generators``."""
-    gens = [vec(g) for g in generators]
-    target = vec(v)
-    dim = len(target)
-    prob = LinProb()
-    for i, _ in enumerate(gens):
-        prob.var(("l", i))
-    for coord in range(dim):
-        prob.add({("l", i): g[coord] for i, g in enumerate(gens)}, EQ, target[coord])
+    prob, _ = _combination_lp(generators, v)
     return prob.feasible() is not None
 
 
@@ -177,16 +183,9 @@ def hull_membership(points, target):
     (False, (prob, farkas)) where ``farkas`` refutes membership and can be
     re-verified with :func:`gptk.lp.verify_farkas`.
     """
-    pts = [vec(p) for p in points]
-    tgt = vec(target)
-    dim = len(tgt)
-    prob = LinProb()
-    for i, _ in enumerate(pts):
-        prob.var(("l", i))
-    for coord in range(dim):
-        prob.add({("l", i): p[coord] for i, p in enumerate(pts)}, EQ, tgt[coord])
-    prob.add({("l", i): 1 for i in range(len(pts))}, EQ, 1)
+    prob, weights = _combination_lp(points, target)
+    prob.add(dict.fromkeys(weights, 1), EQ, 1)
     sol = prob.feasible()
     if sol is None:
         return False, (prob, prob.certificate)
-    return True, tuple(sol[("l", i)] for i in range(len(pts)))
+    return True, tuple([sol[w] for w in weights])

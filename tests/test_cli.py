@@ -72,10 +72,24 @@ def test_malformed_sections_exit_two(tmp_path):
         ('{"spaces": {"bit": {"dim": true, %s}}}' % space, "spaces.bit.dim: True is not an integer"),
         ('{"spaces": []}', "spaces: section must be an object"),
         ('{"effects": {}}', "effects: section must be a list"),
+        ('{"spaces": {"bit": {%s}}, "channels": {"c": {"domain": "bit", "codomain": "bit", '
+         '"matrix": [["1e400000", "0"], ["0", "1"]]}}}' % space,
+         "channels.c: '1e400000' uses exponent notation; use 'p/q' strings"),
     ]
+    observable = '{"indices": %s, "effects": [[1, 0], [0, 1]]}'
+    for indices, bad in (('[["x"], "2"]', "['x']"), ('["1", true]', "True"), ('[null, "2"]', "None")):
+        cases.append(('{"spaces": {"bit": {%s}}, "catalogs": {"c": {"space": "bit", '
+                      '"observables": [%s]}}}' % (space, observable % indices),
+                      f"catalogs.c.observables[0].indices: {bad} is not a string or an integer"))
     p = tmp_path / "m.json"
     for text, message in cases:
         p.write_text(text)
         r = run_cli("validate", str(p))
         assert r.returncode == 2
         assert r.stderr == f"error: {message}\n"
+    # a bare integer literal past int()'s digit limit, and bytes that are not UTF-8
+    for raw in (b'{"spaces": {"bit": {"dim": %s}}}' % (b"7" * 5000), b'{"spaces": "\xff"}'):
+        p.write_bytes(raw)
+        r = run_cli("validate", str(p))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: {p}: ") and "Traceback" not in r.stderr
