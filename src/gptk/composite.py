@@ -10,7 +10,8 @@ in the target cone.
 
 Joint weights on a product test space are non-signalling when each side's
 marginals do not depend on the partner's test; their conditionals are the
-renormalized slices.  Separability is hull membership among products of the
+renormalized slices.  ``JointWeight`` reads and validates a table once and
+answers both sides' marginals and conditionals from it.  Separability is hull membership among products of the
 factor model states, decided by exact LP with a Farkas certificate on
 failure.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .errors import InputError
@@ -39,94 +41,89 @@ def product_testspace(m: TestSpace, n: TestSpace) -> TestSpace:
     return make_testspace(tests)
 
 
-def _joint_table(m: TestSpace, n: TestSpace, omega) -> dict:
-    table = {}
-    for x in m.outcomes:
-        for y in n.outcomes:
-            if (x, y) not in omega:
-                raise InputError(f"joint weight missing pair {(x, y)!r}")
-            table[(x, y)] = Fraction(omega[(x, y)])
-    return table
+def _pair(side, u, v):
+    """The product outcome with u on ``side`` and v on the other factor."""
+    return (u, v) if side == 0 else (v, u)
+
+
+def _ns_rows(m: TestSpace, n: TestSpace):
+    """Non-signalling equations as (lhs pairs, rhs pairs): the mass of each
+    outcome of one side over each later test of the other side equals its
+    mass over the other side's first test."""
+    for side, (own, other) in enumerate(((m, n), (n, m))):
+        ref = other.tests[0]
+        for u in own.outcomes:
+            for t in other.tests[1:]:
+                yield [_pair(side, u, v) for v in t], [_pair(side, u, v) for v in ref]
+
+
+class JointWeight:
+    """A probability weight on the product of m and n, read and validated once.
+
+    Side 0 is the first factor and side 1 the second.  ``marginal(side, u)``
+    sums the table over the other side's first test, and
+    ``conditional(side, u)`` is the other side's weight given outcome u."""
+
+    def __init__(self, m: TestSpace, n: TestSpace, omega):
+        table = {}
+        for p in iproduct(m.outcomes, n.outcomes):
+            if p not in omega:
+                raise InputError(f"joint weight missing pair {p!r}")
+            table[p] = Fraction(omega[p])
+        if not is_probability_weight(product_testspace(m, n), table):
+            raise InputError("joint weight is not a probability weight on the product")
+        self.factors = (m, n)
+        self.table = table
+        self.nonsignalling = all(sum(table[p] for p in lhs) == sum(table[p] for p in rhs)
+                                 for lhs, rhs in _ns_rows(m, n))
+
+    def marginal(self, side, u) -> Fraction:
+        return sum(self.table[_pair(side, u, v)] for v in self.factors[1 - side].tests[0])
+
+    def conditional(self, side, u) -> dict:
+        if not self.nonsignalling:
+            raise InputError("conditionals require a non-signalling weight")
+        w = self.marginal(side, u)
+        if w == 0:
+            raise InputError(f"conditional on {u!r} is undefined (marginal zero)")
+        return {v: self.table[_pair(side, u, v)] / w for v in self.factors[1 - side].outcomes}
+
+    def defined_conditionals(self, side):
+        """The conditionals on each outcome of ``side`` with a nonzero marginal."""
+        for u in self.factors[side].outcomes:
+            if self.marginal(side, u) != 0:
+                yield self.conditional(side, u)
+
+    def in_state_hulls(self, model_a: Model, model_b: Model) -> bool:
+        """Every defined conditional lies in the hull of the other model's states."""
+        if not self.nonsignalling:
+            raise InputError("joint states must be non-signalling")
+        models = (model_a, model_b)
+        for side in (0, 1):
+            other = models[1 - side]
+            order = list(other.testspace.outcomes)
+            pts = [tuple(s[v] for v in order) for s in other.states]
+            for cond in self.defined_conditionals(side):
+                ok, _ = hull_membership(pts, tuple(cond[v] for v in order))
+                if not ok:
+                    return False
+        return True
 
 
 def is_nonsignalling(m: TestSpace, n: TestSpace, omega) -> bool:
     """Marginals independent of the partner's test choice, exactly."""
-    table = _joint_table(m, n, omega)
-    if not is_probability_weight(product_testspace(m, n), table):
-        raise InputError("joint weight is not a probability weight on the product")
-    ref_n = n.tests[0]
-    for x in m.outcomes:
-        ref = sum(table[(x, y)] for y in ref_n)
-        for f in n.tests[1:]:
-            if sum(table[(x, y)] for y in f) != ref:
-                return False
-    ref_m = m.tests[0]
-    for y in n.outcomes:
-        ref = sum(table[(x, y)] for x in ref_m)
-        for e in m.tests[1:]:
-            if sum(table[(x, y)] for x in e) != ref:
-                return False
-    return True
-
-
-def marginal_first(m: TestSpace, n: TestSpace, omega, x) -> Fraction:
-    table = _joint_table(m, n, omega)
-    return sum(table[(x, y)] for y in n.tests[0])
-
-
-def marginal_second(m: TestSpace, n: TestSpace, omega, y) -> Fraction:
-    table = _joint_table(m, n, omega)
-    return sum(table[(x, y)] for x in m.tests[0])
+    return JointWeight(m, n, omega).nonsignalling
 
 
 def conditionals(m: TestSpace, n: TestSpace, omega, x) -> dict:
     """The weight on the second factor conditioned on outcome x of the first."""
-    if not is_nonsignalling(m, n, omega):
-        raise InputError("conditionals require a non-signalling weight")
-    table = _joint_table(m, n, omega)
-    w = marginal_first(m, n, omega, x)
-    if w == 0:
-        raise InputError(f"conditional on {x!r} is undefined (marginal zero)")
-    return {y: table[(x, y)] / w for y in n.outcomes}
-
-
-def conditionals_second(m: TestSpace, n: TestSpace, omega, y) -> dict:
-    if not is_nonsignalling(m, n, omega):
-        raise InputError("conditionals require a non-signalling weight")
-    table = _joint_table(m, n, omega)
-    w = marginal_second(m, n, omega, y)
-    if w == 0:
-        raise InputError(f"conditional on {y!r} is undefined (marginal zero)")
-    return {x: table[(x, y)] / w for x in m.outcomes}
-
-
-def _hull_tables(model: Model):
-    order = list(model.testspace.outcomes)
-    return order, [tuple(s[x] for x in order) for s in model.states]
+    return JointWeight(m, n, omega).conditional(0, x)
 
 
 def is_joint_state(model_a: Model, model_b: Model, omega) -> bool:
     """Every defined conditional lies in the hull of the factor model's states."""
-    m, n = model_a.testspace, model_b.testspace
-    if not is_nonsignalling(m, n, omega):
-        raise InputError("joint states must be non-signalling")
-    order_b, pts_b = _hull_tables(model_b)
-    for x in m.outcomes:
-        if marginal_first(m, n, omega, x) == 0:
-            continue
-        cond = conditionals(m, n, omega, x)
-        ok, _ = hull_membership(pts_b, tuple(cond[y] for y in order_b))
-        if not ok:
-            return False
-    order_a, pts_a = _hull_tables(model_a)
-    for y in n.outcomes:
-        if marginal_second(m, n, omega, y) == 0:
-            continue
-        cond = conditionals_second(m, n, omega, y)
-        ok, _ = hull_membership(pts_a, tuple(cond[x] for x in order_a))
-        if not ok:
-            return False
-    return True
+    jw = JointWeight(model_a.testspace, model_b.testspace, omega)
+    return jw.in_state_hulls(model_a, model_b)
 
 
 def product_weight(alpha: dict, beta: dict) -> dict:
@@ -145,17 +142,12 @@ def separability_witness(model_a: Model, model_b: Model, omega):
     Returns (True, convex weights) or (False, (prob, farkas)) where the
     Farkas certificate can be re-verified with :func:`gptk.lp.verify_farkas`.
     """
-    m, n = model_a.testspace, model_b.testspace
-    if not is_joint_state(model_a, model_b, omega):
+    jw = JointWeight(model_a.testspace, model_b.testspace, omega)
+    if not jw.in_state_hulls(model_a, model_b):
         raise InputError("separability applies to joint states")
-    table = _joint_table(m, n, omega)
-    pairs = [(x, y) for x in m.outcomes for y in n.outcomes]
-    points = []
-    for sa in model_a.states:
-        for sb in model_b.states:
-            points.append(tuple(sa[x] * sb[y] for (x, y) in pairs))
-    target = tuple(table[p] for p in pairs)
-    return hull_membership(points, target)
+    points = [tuple(sa[x] * sb[y] for (x, y) in jw.table)
+              for sa in model_a.states for sb in model_b.states]
+    return hull_membership(points, tuple(jw.table.values()))
 
 
 def check_separability_certificate(witness) -> bool:
@@ -168,8 +160,13 @@ def min_cone_contains(a: OrderUnitSpace, b: OrderUnitSpace, t) -> bool:
     t = vec(t)
     if len(t) != a.dim * b.dim:
         raise InputError("tensor has the wrong length")
-    gens = [tensor_vec(g, h) for g in a.cone_generators for h in b.cone_generators]
-    return in_cone(gens, t)
+    return in_cone(_min_generators(a, b), t)
+
+
+@lru_cache(maxsize=None)
+def _min_generators(a: OrderUnitSpace, b: OrderUnitSpace) -> tuple:
+    """Products of the factor cone rays, which generate the minimal tensor cone."""
+    return tuple(tensor_vec(g, h) for g in a.cone_generators for h in b.cone_generators)
 
 
 def max_cone_contains(a: OrderUnitSpace, b: OrderUnitSpace, t) -> bool:
@@ -229,8 +226,7 @@ def _tensor_coefficients(a: OrderUnitSpace, b: OrderUnitSpace):
 
 def min_rule(a: OrderUnitSpace, b: OrderUnitSpace) -> BilinearRule:
     """Coordinatewise tensor into the minimal-cone composite."""
-    gens = tuple(tensor_vec(g, h) for g in a.cone_generators for h in b.cone_generators)
-    target = OrderUnitSpace(a.dim * b.dim, gens, tensor_vec(a.unit, b.unit))
+    target = OrderUnitSpace(a.dim * b.dim, _min_generators(a, b), tensor_vec(a.unit, b.unit))
     return BilinearRule(a, b, target, _tensor_coefficients(a, b))
 
 
@@ -321,25 +317,17 @@ def monoidality_check(rule: BilinearRule, catalog_a: Catalog,
     mm = monoidal_map(rule, catalog_a, catalog_b)
     if not mm.test_preserving or mm.excluded:
         return False
-    ts_a, ts_b = mm.frag_a.testspace, mm.frag_b.testspace
+    ts = (mm.frag_a.testspace, mm.frag_b.testspace)
+    spaces = (rule.a, rule.b)
     for gamma in state_polytope_vertices(rule.target):
-        mu = pullback_joint_weight(mm, gamma)
-        if not is_nonsignalling(ts_a, ts_b, mu):
+        jw = JointWeight(*ts, pullback_joint_weight(mm, gamma))
+        if not jw.nonsignalling:
             return False
-        for xa in ts_a.outcomes:
-            if marginal_first(ts_a, ts_b, mu, xa) == 0:
-                continue
-            cond = conditionals(ts_a, ts_b, mu, xa)
-            constraints = [(b, cond[(y, b)]) for (y, b) in ts_b.outcomes]
-            if extend_to_state(rule.b, constraints) is None:
-                return False
-        for yb in ts_b.outcomes:
-            if marginal_second(ts_a, ts_b, mu, yb) == 0:
-                continue
-            cond = conditionals_second(ts_a, ts_b, mu, yb)
-            constraints = [(a, cond[(x, a)]) for (x, a) in ts_a.outcomes]
-            if extend_to_state(rule.a, constraints) is None:
-                return False
+        for side in (0, 1):
+            for cond in jw.defined_conditionals(side):
+                constraints = [(e, cond[(v, e)]) for (v, e) in ts[1 - side].outcomes]
+                if extend_to_state(spaces[1 - side], constraints) is None:
+                    return False
     return True
 
 
@@ -390,24 +378,13 @@ def ns_joint_vertices(model_a: Model, model_b: Model) -> list:
                 for y in f:
                     row[pos[(x, y)]] = Fraction(1)
             eqs.append((tuple(row), Fraction(1)))
-    ref_n = n.tests[0]
-    for x in m.outcomes:
-        for f in n.tests[1:]:
-            row = [_ZERO] * npairs
-            for y in f:
-                row[pos[(x, y)]] += Fraction(1)
-            for y in ref_n:
-                row[pos[(x, y)]] -= Fraction(1)
-            eqs.append((tuple(row), _ZERO))
-    ref_m = m.tests[0]
-    for y in n.outcomes:
-        for e in m.tests[1:]:
-            row = [_ZERO] * npairs
-            for x in e:
-                row[pos[(x, y)]] += Fraction(1)
-            for x in ref_m:
-                row[pos[(x, y)]] -= Fraction(1)
-            eqs.append((tuple(row), _ZERO))
+    for lhs, rhs in _ns_rows(m, n):
+        row = [_ZERO] * npairs
+        for p in lhs:
+            row[pos[p]] += 1
+        for p in rhs:
+            row[pos[p]] -= 1
+        eqs.append((tuple(row), _ZERO))
     ineqs = [(tuple(Fraction(1) if j == i else _ZERO for j in range(npairs)), _ZERO)
              for i in range(npairs)]
     verts = polytope_vertices(ineqs, eqs, npairs)

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .channel import LinearMap, MarkovKernel
-from .composite import BilinearRule, max_rule, min_rule
+from .composite import BilinearRule, JointWeight, max_rule, min_rule
 from .errors import InputError
 from .logic import make_effect_algebra
 from .modj import Catalog, Observable
 from .ous import OrderUnitSpace, is_state
-from .testspace import TestSpace, make_testspace
-from .vweight import Model, ValuedWeight
+from .testspace import TestSpace, canon_key, make_testspace
+from .vweight import Model, ValuedWeight, is_valued_weight
 
 
 def parse_rational(x, where="") -> Fraction:
@@ -80,6 +80,8 @@ class ModelFile:
 
 
 def _lookup(table, name, kind):
+    if not isinstance(name, str):
+        raise InputError(f"{kind} reference {name!r} is not a name")
     if name not in table:
         raise InputError(f"unknown {kind} {name!r}")
     return table[name]
@@ -121,7 +123,7 @@ def load(path) -> ModelFile:
 
     for i, rec in enumerate(doc.get("effects", [])):
         where = f"effects[{i}]"
-        mf.space(_req(rec, "space", where))  # reference must resolve
+        mf.space(_req(rec, "space", where, str))  # reference must resolve
         mf.effects.append((rec["space"], parse_vector(_req(rec, "value", where), where)))
 
     for name, rec in sorted(doc.get("testspaces", {}).items()):
@@ -137,16 +139,16 @@ def load(path) -> ModelFile:
 
     for name, rec in sorted(doc.get("models", {}).items()):
         where = f"models.{name}"
-        ts = mf.testspace(_req(rec, "testspace", where))
+        ts = mf.testspace(_req(rec, "testspace", where, str))
         states = []
-        for k, raw in enumerate(_req(rec, "states", where)):
-            states.append({x: parse_rational(v, f"{where}.states[{k}]")
-                           for x, v in raw.items()})
+        for k, raw in enumerate(_req(rec, "states", where, list)):
+            w = f"{where}.states[{k}]"
+            states.append({x: parse_rational(v, w) for x, v in _expect(raw, dict, w).items()})
         mf.models[name] = Model(ts, tuple(states))
 
     for name, rec in sorted(doc.get("space_states", {}).items()):
         where = f"space_states.{name}"
-        sp = mf.space(_req(rec, "space", where))
+        sp = mf.space(_req(rec, "space", where, str))
         f = parse_vector(_req(rec, "functional", where), where)
         if not is_state(sp, f):
             raise InputError(f"{where}: functional is not a state")
@@ -154,16 +156,13 @@ def load(path) -> ModelFile:
 
     for name, rec in sorted(doc.get("valued_weights", {}).items()):
         where = f"valued_weights.{name}"
-        sp = mf.space(_req(rec, "space", where))
-        ts = mf.testspace(_req(rec, "testspace", where))
+        sp = mf.space(_req(rec, "space", where, str))
+        ts = mf.testspace(_req(rec, "testspace", where, str))
         values = {x: parse_vector(v, f"{where}.values[{x}]")
-                  for x, v in _req(rec, "values", where).items()}
+                  for x, v in _req(rec, "values", where, dict).items()}
         vw = ValuedWeight(sp, ts, values)
-        from .vweight import is_valued_weight
         if not is_valued_weight(vw):
-            bad = next(t for t in ts.tests
-                       if vw.event_value(t) != sp.unit) if any(
-                           vw.event_value(t) != sp.unit for t in ts.tests) else None
+            bad = next((t for t in ts.tests if vw.event_value(t) != sp.unit), None)
             if bad is not None:
                 raise InputError(f"{where}: test {sorted(bad)} does not sum to the unit")
             raise InputError(f"{where}: some value leaves the positive cone")
@@ -171,17 +170,14 @@ def load(path) -> ModelFile:
 
     for name, rec in sorted(doc.get("catalogs", {}).items()):
         where = f"catalogs.{name}"
-        sp = mf.space(_req(rec, "space", where))
+        sp = mf.space(_req(rec, "space", where, str))
         obs = []
-        for k, raw in enumerate(_req(rec, "observables", where)):
+        for k, raw in enumerate(_req(rec, "observables", where, list)):
             w = f"{where}.observables[{k}]"
-            idx = _req(raw, "indices", w)
-            refs = _req(raw, "effects", w)
-            if not isinstance(idx, list) or not isinstance(refs, list):
-                raise InputError(f"{w}: indices and effects must be lists")
+            idx = _req(raw, "indices", w, list)
+            refs = _req(raw, "effects", w, list)
             for i in idx:
-                if not isinstance(i, (str, int)) or isinstance(i, bool):
-                    raise InputError(f"{w}.indices: {i!r} is not a string or an integer")
+                _token(i, f"{w}.indices")
             if len(idx) != len(refs):
                 raise InputError(f"{w}: indices and effects differ in length")
             assignment = {}
@@ -192,8 +188,8 @@ def load(path) -> ModelFile:
 
     for name, rec in sorted(doc.get("channels", {}).items()):
         where = f"channels.{name}"
-        dom = mf.space(_req(rec, "domain", where))
-        cod = mf.space(_req(rec, "codomain", where))
+        dom = mf.space(_req(rec, "domain", where, str))
+        cod = mf.space(_req(rec, "codomain", where, str))
         mf.channels[name] = LinearMap(dom, cod, parse_matrix(_req(rec, "matrix", where), where))
 
     for name, rec in sorted(doc.get("kernels", {}).items()):
@@ -203,15 +199,15 @@ def load(path) -> ModelFile:
     for name, rec in sorted(doc.get("bilinear_rules", {}).items()):
         where = f"bilinear_rules.{name}"
         kind = _req(rec, "kind", where)
-        a = mf.space(_req(rec, "a", where))
-        b = mf.space(_req(rec, "b", where))
+        a = mf.space(_req(rec, "a", where, str))
+        b = mf.space(_req(rec, "b", where, str))
         if kind == "min":
             mf.bilinear_rules[name] = min_rule(a, b)
         elif kind == "max":
             mf.bilinear_rules[name] = max_rule(a, b)
         elif kind == "explicit":
-            target = mf.space(_req(rec, "target", where))
-            co = _req(rec, "coefficients", where)
+            target = mf.space(_req(rec, "target", where, str))
+            co = _req(rec, "coefficients", where, list)
             coeffs = tuple(parse_matrix(plane, where) for plane in co)
             mf.bilinear_rules[name] = BilinearRule(a, b, target, coeffs)
         else:
@@ -219,36 +215,56 @@ def load(path) -> ModelFile:
 
     for name, rec in sorted(doc.get("effect_algebras", {}).items()):
         where = f"effect_algebras.{name}"
-        elements = _req(rec, "elements", where)
+        elements = [_token(e, f"{where}.elements")
+                    for e in _req(rec, "elements", where, list)]
         sums = {}
-        for entry in _req(rec, "sums", where):
+        for entry in _req(rec, "sums", where, list):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise InputError(f"{where}: sums entries must be [a, b, a+b]")
-            sums[(entry[0], entry[1])] = entry[2]
-        mf.effect_algebras[name] = make_effect_algebra(
-            elements, _req(rec, "zero", where), _req(rec, "one", where), sums)
+            a, b, c = (_token(e, f"{where}.sums") for e in entry)
+            sums[(a, b)] = c
+        zero = _token(_req(rec, "zero", where), f"{where}.zero")
+        one = _token(_req(rec, "one", where), f"{where}.one")
+        mf.effect_algebras[name] = make_effect_algebra(elements, zero, one, sums)
 
     for name, rec in sorted(doc.get("joint_weights", {}).items()):
         where = f"joint_weights.{name}"
-        ts_a = mf.testspace(_req(rec, "testspace_a", where))
-        ts_b = mf.testspace(_req(rec, "testspace_b", where))
+        ts_a = mf.testspace(_req(rec, "testspace_a", where, str))
+        ts_b = mf.testspace(_req(rec, "testspace_b", where, str))
         table = {}
-        for x, row in _req(rec, "values", where).items():
-            for y, v in row.items():
+        for x, row in _req(rec, "values", where, dict).items():
+            for y, v in _expect(row, dict, f"{where}.values[{x}]").items():
                 table[(x, y)] = parse_rational(v, f"{where}.values[{x}][{y}]")
-        from .composite import product_testspace
-        from .testspace import is_probability_weight
-        if not is_probability_weight(product_testspace(ts_a, ts_b), table):
-            raise InputError(f"{where}: not a probability weight on the product")
+        try:
+            JointWeight(ts_a, ts_b, table)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
         mf.joint_weights[name] = (rec["testspace_a"], rec["testspace_b"], table)
 
     return mf
 
 
-def _req(rec, key, where):
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _req(rec, key, where, kind=None):
+    """rec[key], which must be present and, if kind is given, of that JSON type."""
     if not isinstance(rec, dict) or key not in rec:
         raise InputError(f"{where}: missing field {key!r}")
-    return rec[key]
+    return rec[key] if kind is None else _expect(rec[key], kind, f"{where}.{key}")
+
+
+def _expect(value, kind, where):
+    if not isinstance(value, kind):
+        raise InputError(f"{where}: must be {_KINDS[kind]}")
+    return value
+
+
+def _token(x, where):
+    """An index or effect-algebra element: a string or an integer."""
+    if not isinstance(x, (str, int)) or isinstance(x, bool):
+        raise InputError(f"{where}: {x!r} is not a string or an integer")
+    return x
 
 
 def _effect_ref(mf: ModelFile, space_name, ref, where):
@@ -291,7 +307,6 @@ class OutcomeSerializer:
         if isinstance(o, Fraction):
             return format_rational(o)
         if isinstance(o, frozenset):
-            from .testspace import canon_key
             return [self.outcome(x) for x in sorted(o, key=canon_key)]
         if isinstance(o, tuple):
             if o and isinstance(o[-1], tuple) and all(isinstance(e, Fraction) for e in o[-1]):

@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from gptk import cli
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -87,9 +94,90 @@ def test_malformed_sections_exit_two(tmp_path):
         r = run_cli("validate", str(p))
         assert r.returncode == 2
         assert r.stderr == f"error: {message}\n"
+    # nodes of models/bit.json replaced by a value of the wrong JSON type; checked
+    # in-process, which raises instead of exiting 1 if a TypeError slips through
+    bit = json.loads((MODELS / "bit.json").read_text())
+    explicit = {"kind": "explicit", "a": "bit", "b": "bit", "target": "bit", "coefficients": 5}
+    joint = {"testspace_a": "coin", "testspace_b": "coin"}
+    one_coin = {"x": {"x": "1", "y": "0"}, "y": {"x": "0", "y": "1"}}
+    mutations = [
+        (("models", "coin_model", "states"), [["x"]], "models.coin_model.states[0]: must be an object"),
+        (("models", "coin_model", "states"), 3, "models.coin_model.states: must be a list"),
+        (("valued_weights", "F", "values"), [1], "valued_weights.F.values: must be an object"),
+        (("effect_algebras", "chain2", "sums"), 5, "effect_algebras.chain2.sums: must be a list"),
+        (("effect_algebras", "chain2", "sums", 0), [["0"], "0", "0"],
+         "effect_algebras.chain2.sums: ['0'] is not a string or an integer"),
+        (("effect_algebras", "chain2", "elements"), 5, "effect_algebras.chain2.elements: must be a list"),
+        (("catalogs", "delta", "observables"), 5, "catalogs.delta.observables: must be a list"),
+        (("bilinear_rules", "rmin"), explicit, "bilinear_rules.rmin.coefficients: must be a list"),
+        (("models", "coin_model", "testspace"), ["coin"], "models.coin_model.testspace: must be a string"),
+        (("joint_weights",), {"j": dict(joint, values=[])}, "joint_weights.j.values: must be an object"),
+        (("joint_weights",), {"j": dict(joint, values={"x": ["1"]})},
+         "joint_weights.j.values[x]: must be an object"),
+        (("joint_weights",), {"j": dict(joint, values={"x": {"x": "1"}})},
+         "joint_weights.j: joint weight missing pair ('x', 'y')"),
+        (("joint_weights",), {"j": dict(joint, values=one_coin)},
+         "joint_weights.j: joint weight is not a probability weight on the product"),
+    ]
+    for path, value, message in mutations:
+        p.write_text(json.dumps(replaced(bit, path, value)))
+        assert validate_in_process(p) == (2, f"error: {message}\n")
     # a bare integer literal past int()'s digit limit, and bytes that are not UTF-8
     for raw in (b'{"spaces": {"bit": {"dim": %s}}}' % (b"7" * 5000), b'{"spaces": "\xff"}'):
         p.write_bytes(raw)
         r = run_cli("validate", str(p))
         assert r.returncode == 2
         assert r.stderr.startswith(f"error: {p}: ") and "Traceback" not in r.stderr
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path (a tuple of keys and indices) set to value."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def validate_in_process(path):
+    """(return code, stderr) of ``gptk validate path`` run through cli.main."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", str(path)])
+    return code, err.getvalue()
+
+
+def _nodes(node, path=()):
+    """(path, value) for every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _json_type(v):
+    return "bool" if isinstance(v, bool) else type(v).__name__
+
+
+FUZZ_MODELS = {name: json.loads((MODELS / f"{name}.json").read_text()) for name in ("bit", "grid")}
+FUZZ_CASES = [(name, path, value)
+              for name, doc in FUZZ_MODELS.items() for path, old in _nodes(doc)
+              for value in (None, True, 0, -1, "x", [], {}, [[]])
+              if _json_type(value) != _json_type(old)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FUZZ_CASES))
+def test_validate_survives_one_mistyped_node(tmp_path_factory, case):
+    # the input boundary gives exit 0 or exit 2, never a traceback or exit 1
+    name, path, value = case
+    p = tmp_path_factory.getbasetemp() / "fuzz.json"
+    p.write_text(json.dumps(replaced(FUZZ_MODELS[name], path, value)))
+    code, err = validate_in_process(p)
+    assert code in (0, 2), err

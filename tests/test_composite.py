@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 from conftest import rand_fraction
 
+from gptk import composite
 from gptk.composite import (
+    JointWeight,
     check_separability_certificate,
     composite_flags,
     conditionals,
@@ -102,6 +104,49 @@ def test_is_joint_state_examples():
     small = Model(gbit_testspace(),
                   ({"X0": F(1), "X1": F(0), "Y0": F(1), "Y1": F(0)},))
     assert not is_joint_state(ma, small, product_weight(alpha, beta))
+    # the mirror: a restricted first factor is caught by the side-1 conditionals
+    assert not is_joint_state(small, ma, product_weight(beta, alpha))
+
+
+def test_zero_marginals_skip_undefined_conditionals():
+    ts = gbit_testspace()
+    alpha = {"X0": F(1), "X1": F(0), "Y0": HALF, "Y1": HALF}
+    beta = {"X0": HALF, "X1": HALF, "Y0": F(0), "Y1": F(1)}
+    jw = JointWeight(ts, ts, product_weight(alpha, beta))
+    assert jw.marginal(0, "X1") == 0 and jw.marginal(1, "Y0") == 0
+    for side, u in ((0, "X1"), (1, "Y0")):
+        with pytest.raises(InputError, match="undefined"):
+            jw.conditional(side, u)
+    assert list(jw.defined_conditionals(0)) == [beta] * 3
+    assert list(jw.defined_conditionals(1)) == [alpha] * 3
+    assert is_joint_state(gbit_model(), gbit_model(), product_weight(alpha, beta))
+
+
+def test_second_side_conditional_is_the_column_slice():
+    ts = gbit_testspace()
+    alpha = {"X0": F(1, 3), "X1": F(2, 3), "Y0": F(1), "Y1": F(0)}
+    beta = {"X0": F(1, 4), "X1": F(3, 4), "Y0": HALF, "Y1": HALF}
+    jw = JointWeight(ts, ts, product_weight(alpha, beta))
+    assert jw.marginal(1, "X1") == F(3, 4)
+    assert jw.conditional(1, "X1") == alpha
+    # PR box column Y1: (X1, Y1) and (Y0, Y1) carry 1/2 each, over marginal 1/2
+    pr = JointWeight(ts, ts, pr_box())
+    assert pr.conditional(1, "Y1") == {"X0": F(0), "X1": F(1), "Y0": F(1), "Y1": F(0)}
+
+
+def test_joint_weight_errors():
+    ts = gbit_testspace()
+    pr = pr_box()
+    with pytest.raises(InputError, match="missing pair"):
+        JointWeight(ts, ts, {k: v for k, v in pr.items() if k != ("Y1", "Y1")})
+    with pytest.raises(InputError, match="not a probability weight"):
+        JointWeight(ts, ts, {k: 2 * v for k, v in pr.items()})
+    signalling = {(x, y): F(0) for x in coin_testspace().outcomes for y in ts.outcomes}
+    signalling[("x", "X0")] = signalling[("y", "Y0")] = F(1)
+    jw = JointWeight(coin_testspace(), ts, signalling)
+    assert not jw.nonsignalling
+    with pytest.raises(InputError, match="non-signalling"):
+        jw.conditional(0, "x")
 
 
 def test_min_cone_examples():
@@ -211,6 +256,22 @@ def test_monoidality_examples():
                              permutation_catalog(), delta_catalog(1))
     assert monoidality_check(min_rule(bit(), bit()),
                              delta_catalog(2), delta_catalog(2))
+
+
+def test_monoidality_builds_one_product_testspace_per_vertex(monkeypatch):
+    # operation-count gate: each target state vertex's pulled-back table is
+    # validated once, not once per outcome
+    rule = min_rule(bit(), bit())
+    calls = []
+    real = composite.product_testspace
+
+    def counting(m, n):
+        calls.append(1)
+        return real(m, n)
+
+    monkeypatch.setattr(composite, "product_testspace", counting)
+    assert monoidality_check(rule, delta_catalog(2), delta_catalog(2))
+    assert len(calls) == len(state_polytope_vertices(rule.target)) == 4
 
 
 def test_pullback_bilinearity():
