@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import mul
 
 from .errors import InputError
 from .linalg import is_zero_vec, rank, tensor_vec, vdot, vec
 from .lp import verify_farkas
 from .modj import Catalog, Observable, build_modj, extend_to_state
 from .ous import OrderUnitSpace, cone_contains, dual_rays, state_polytope_vertices
-from .polyhedra import extreme_rays, hull_membership, in_cone, polytope_vertices
+from .polyhedra import _int_ray, extreme_rays, hull_membership, in_cone, polytope_vertices
 from .testspace import TestSpace, is_probability_weight, make_testspace
 from .vweight import Model
 
@@ -170,14 +171,18 @@ def _min_generators(a: OrderUnitSpace, b: OrderUnitSpace) -> tuple:
 
 
 def max_cone_contains(a: OrderUnitSpace, b: OrderUnitSpace, t) -> bool:
-    """(f x g)(t) >= 0 on all pairs of extreme rays of the factor dual cones."""
+    """(f x g)(t) = f.T.g >= 0 for all pairs of stored factor facets f, g.
+
+    T is t as an a.dim x b.dim matrix, scaled once to a primitive int tensor."""
     t = vec(t)
     if len(t) != a.dim * b.dim:
         raise InputError("tensor has the wrong length")
-    for f in dual_rays(a):
-        for g in dual_rays(b):
-            if vdot(tensor_vec(f, g), t) < 0:
-                return False
+    t = _int_ray(t)
+    columns = [t[j::b.dim] for j in range(b.dim)]
+    for f in a.facets:
+        ft = [sum(map(mul, f, col)) for col in columns]
+        if any(sum(map(mul, g, ft)) < 0 for g in b.facets):
+            return False
     return True
 
 

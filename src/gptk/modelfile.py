@@ -7,18 +7,21 @@ reports, where pair outcomes serialize as [index, effect-table-ref] and
 cover outcomes as [[event members], member].
 
 Loading validates everything: all cross-references must resolve and every
-referenced object's invariants are re-checked by its constructor.
+referenced object's invariants are re-checked by its constructor.  An
+``InputError`` or ``StructureError`` raised while reading an object names its
+place in the file, as in ``spaces.<name>: ...``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .channel import LinearMap, MarkovKernel
 from .composite import BilinearRule, JointWeight, max_rule, min_rule
-from .errors import InputError
+from .errors import InputError, StructureError
 from .logic import make_effect_algebra
 from .modj import Catalog, Observable
 from .ous import OrderUnitSpace, is_state
@@ -87,6 +90,18 @@ def _lookup(table, name, kind):
     return table[name]
 
 
+@contextmanager
+def _located(where):
+    """Prefix ``where`` to an InputError or StructureError raised inside, unless
+    its message already names a place at or below ``where``."""
+    try:
+        yield
+    except (InputError, StructureError) as exc:
+        if str(exc).startswith((f"{where}:", f"{where}.", f"{where}[")):
+            raise
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 _SECTIONS = {"spaces", "effects", "testspaces", "models", "space_states",
              "valued_weights", "catalogs", "channels", "kernels",
              "bilinear_rules", "effect_algebras", "joint_weights"}
@@ -114,132 +129,142 @@ def load(path) -> ModelFile:
 
     for name, rec in sorted(doc.get("spaces", {}).items()):
         where = f"spaces.{name}"
-        gens = parse_matrix(_req(rec, "cone_generators", where), where)
-        unit = parse_vector(_req(rec, "unit", where), where)
-        dim = rec.get("dim", len(unit))
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise InputError(f"{where}.dim: {dim!r} is not an integer")
-        mf.spaces[name] = OrderUnitSpace(dim, gens, unit)
+        with _located(where):
+            gens = parse_matrix(_req(rec, "cone_generators", where), where)
+            unit = parse_vector(_req(rec, "unit", where), where)
+            dim = rec.get("dim", len(unit))
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise InputError(f"{where}.dim: {dim!r} is not an integer")
+            mf.spaces[name] = OrderUnitSpace(dim, gens, unit)
 
     for i, rec in enumerate(doc.get("effects", [])):
         where = f"effects[{i}]"
-        mf.space(_req(rec, "space", where, str))  # reference must resolve
-        mf.effects.append((rec["space"], parse_vector(_req(rec, "value", where), where)))
+        with _located(where):
+            mf.space(_req(rec, "space", where, str))  # reference must resolve
+            mf.effects.append((rec["space"], parse_vector(_req(rec, "value", where), where)))
 
     for name, rec in sorted(doc.get("testspaces", {}).items()):
         where = f"testspaces.{name}"
-        tests = _req(rec, "tests", where)
-        if not isinstance(tests, list) or not all(isinstance(t, list) for t in tests):
-            raise InputError(f"{where}: tests must be a list of outcome lists")
-        for t in tests:
-            for x in t:
-                if not isinstance(x, str):
-                    raise InputError(f"{where}: file outcomes must be strings")
-        mf.testspaces[name] = make_testspace([frozenset(t) for t in tests])
+        with _located(where):
+            tests = _req(rec, "tests", where)
+            if not isinstance(tests, list) or not all(isinstance(t, list) for t in tests):
+                raise InputError(f"{where}: tests must be a list of outcome lists")
+            for t in tests:
+                for x in t:
+                    if not isinstance(x, str):
+                        raise InputError(f"{where}: file outcomes must be strings")
+            mf.testspaces[name] = make_testspace([frozenset(t) for t in tests])
 
     for name, rec in sorted(doc.get("models", {}).items()):
         where = f"models.{name}"
-        ts = mf.testspace(_req(rec, "testspace", where, str))
-        states = []
-        for k, raw in enumerate(_req(rec, "states", where, list)):
-            w = f"{where}.states[{k}]"
-            states.append({x: parse_rational(v, w) for x, v in _expect(raw, dict, w).items()})
-        mf.models[name] = Model(ts, tuple(states))
+        with _located(where):
+            ts = mf.testspace(_req(rec, "testspace", where, str))
+            states = []
+            for k, raw in enumerate(_req(rec, "states", where, list)):
+                w = f"{where}.states[{k}]"
+                states.append({x: parse_rational(v, w) for x, v in _expect(raw, dict, w).items()})
+            mf.models[name] = Model(ts, tuple(states))
 
     for name, rec in sorted(doc.get("space_states", {}).items()):
         where = f"space_states.{name}"
-        sp = mf.space(_req(rec, "space", where, str))
-        f = parse_vector(_req(rec, "functional", where), where)
-        if not is_state(sp, f):
-            raise InputError(f"{where}: functional is not a state")
-        mf.space_states[name] = (rec["space"], f)
+        with _located(where):
+            sp = mf.space(_req(rec, "space", where, str))
+            f = parse_vector(_req(rec, "functional", where), where)
+            if not is_state(sp, f):
+                raise InputError(f"{where}: functional is not a state")
+            mf.space_states[name] = (rec["space"], f)
 
     for name, rec in sorted(doc.get("valued_weights", {}).items()):
         where = f"valued_weights.{name}"
-        sp = mf.space(_req(rec, "space", where, str))
-        ts = mf.testspace(_req(rec, "testspace", where, str))
-        values = {x: parse_vector(v, f"{where}.values[{x}]")
-                  for x, v in _req(rec, "values", where, dict).items()}
-        vw = ValuedWeight(sp, ts, values)
-        if not is_valued_weight(vw):
-            bad = next((t for t in ts.tests if vw.event_value(t) != sp.unit), None)
-            if bad is not None:
-                raise InputError(f"{where}: test {sorted(bad)} does not sum to the unit")
-            raise InputError(f"{where}: some value leaves the positive cone")
-        mf.valued_weights[name] = vw
+        with _located(where):
+            sp = mf.space(_req(rec, "space", where, str))
+            ts = mf.testspace(_req(rec, "testspace", where, str))
+            values = {x: parse_vector(v, f"{where}.values[{x}]")
+                      for x, v in _req(rec, "values", where, dict).items()}
+            vw = ValuedWeight(sp, ts, values)
+            if not is_valued_weight(vw):
+                bad = next((t for t in ts.tests if vw.event_value(t) != sp.unit), None)
+                if bad is not None:
+                    raise InputError(f"{where}: test {sorted(bad)} does not sum to the unit")
+                raise InputError(f"{where}: some value leaves the positive cone")
+            mf.valued_weights[name] = vw
 
     for name, rec in sorted(doc.get("catalogs", {}).items()):
         where = f"catalogs.{name}"
-        sp = mf.space(_req(rec, "space", where, str))
-        obs = []
-        for k, raw in enumerate(_req(rec, "observables", where, list)):
-            w = f"{where}.observables[{k}]"
-            idx = _req(raw, "indices", w, list)
-            refs = _req(raw, "effects", w, list)
-            for i in idx:
-                _token(i, f"{w}.indices")
-            if len(idx) != len(refs):
-                raise InputError(f"{w}: indices and effects differ in length")
-            assignment = {}
-            for i, ref in zip(idx, refs):
-                assignment[i] = _effect_ref(mf, rec["space"], ref, w)
-            obs.append(Observable(sp, tuple(idx), assignment))
-        mf.catalogs[name] = Catalog(sp, tuple(obs))
+        with _located(where):
+            sp = mf.space(_req(rec, "space", where, str))
+            obs = []
+            for k, raw in enumerate(_req(rec, "observables", where, list)):
+                w = f"{where}.observables[{k}]"
+                idx = _req(raw, "indices", w, list)
+                refs = _req(raw, "effects", w, list)
+                for i in idx:
+                    _token(i, f"{w}.indices")
+                if len(idx) != len(refs):
+                    raise InputError(f"{w}: indices and effects differ in length")
+                assignment = {}
+                for i, ref in zip(idx, refs):
+                    assignment[i] = _effect_ref(mf, rec["space"], ref, w)
+                with _located(w):
+                    obs.append(Observable(sp, tuple(idx), assignment))
+            mf.catalogs[name] = Catalog(sp, tuple(obs))
 
     for name, rec in sorted(doc.get("channels", {}).items()):
         where = f"channels.{name}"
-        dom = mf.space(_req(rec, "domain", where, str))
-        cod = mf.space(_req(rec, "codomain", where, str))
-        mf.channels[name] = LinearMap(dom, cod, parse_matrix(_req(rec, "matrix", where), where))
+        with _located(where):
+            dom = mf.space(_req(rec, "domain", where, str))
+            cod = mf.space(_req(rec, "codomain", where, str))
+            mf.channels[name] = LinearMap(dom, cod, parse_matrix(_req(rec, "matrix", where), where))
 
     for name, rec in sorted(doc.get("kernels", {}).items()):
         where = f"kernels.{name}"
-        mf.kernels[name] = MarkovKernel(parse_matrix(_req(rec, "matrix", where), where))
+        with _located(where):
+            mf.kernels[name] = MarkovKernel(parse_matrix(_req(rec, "matrix", where), where))
 
     for name, rec in sorted(doc.get("bilinear_rules", {}).items()):
         where = f"bilinear_rules.{name}"
-        kind = _req(rec, "kind", where)
-        a = mf.space(_req(rec, "a", where, str))
-        b = mf.space(_req(rec, "b", where, str))
-        if kind == "min":
-            mf.bilinear_rules[name] = min_rule(a, b)
-        elif kind == "max":
-            mf.bilinear_rules[name] = max_rule(a, b)
-        elif kind == "explicit":
-            target = mf.space(_req(rec, "target", where, str))
-            co = _req(rec, "coefficients", where, list)
-            coeffs = tuple(parse_matrix(plane, where) for plane in co)
-            mf.bilinear_rules[name] = BilinearRule(a, b, target, coeffs)
-        else:
-            raise InputError(f"{where}: kind must be min, max or explicit")
+        with _located(where):
+            kind = _req(rec, "kind", where)
+            a = mf.space(_req(rec, "a", where, str))
+            b = mf.space(_req(rec, "b", where, str))
+            if kind == "min":
+                mf.bilinear_rules[name] = min_rule(a, b)
+            elif kind == "max":
+                mf.bilinear_rules[name] = max_rule(a, b)
+            elif kind == "explicit":
+                target = mf.space(_req(rec, "target", where, str))
+                co = _req(rec, "coefficients", where, list)
+                coeffs = tuple(parse_matrix(plane, where) for plane in co)
+                mf.bilinear_rules[name] = BilinearRule(a, b, target, coeffs)
+            else:
+                raise InputError(f"{where}: kind must be min, max or explicit")
 
     for name, rec in sorted(doc.get("effect_algebras", {}).items()):
         where = f"effect_algebras.{name}"
-        elements = [_token(e, f"{where}.elements")
-                    for e in _req(rec, "elements", where, list)]
-        sums = {}
-        for entry in _req(rec, "sums", where, list):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise InputError(f"{where}: sums entries must be [a, b, a+b]")
-            a, b, c = (_token(e, f"{where}.sums") for e in entry)
-            sums[(a, b)] = c
-        zero = _token(_req(rec, "zero", where), f"{where}.zero")
-        one = _token(_req(rec, "one", where), f"{where}.one")
-        mf.effect_algebras[name] = make_effect_algebra(elements, zero, one, sums)
+        with _located(where):
+            elements = [_token(e, f"{where}.elements")
+                        for e in _req(rec, "elements", where, list)]
+            sums = {}
+            for entry in _req(rec, "sums", where, list):
+                if not isinstance(entry, list) or len(entry) != 3:
+                    raise InputError(f"{where}: sums entries must be [a, b, a+b]")
+                a, b, c = (_token(e, f"{where}.sums") for e in entry)
+                sums[(a, b)] = c
+            zero = _token(_req(rec, "zero", where), f"{where}.zero")
+            one = _token(_req(rec, "one", where), f"{where}.one")
+            mf.effect_algebras[name] = make_effect_algebra(elements, zero, one, sums)
 
     for name, rec in sorted(doc.get("joint_weights", {}).items()):
         where = f"joint_weights.{name}"
-        ts_a = mf.testspace(_req(rec, "testspace_a", where, str))
-        ts_b = mf.testspace(_req(rec, "testspace_b", where, str))
-        table = {}
-        for x, row in _req(rec, "values", where, dict).items():
-            for y, v in _expect(row, dict, f"{where}.values[{x}]").items():
-                table[(x, y)] = parse_rational(v, f"{where}.values[{x}][{y}]")
-        try:
+        with _located(where):
+            ts_a = mf.testspace(_req(rec, "testspace_a", where, str))
+            ts_b = mf.testspace(_req(rec, "testspace_b", where, str))
+            table = {}
+            for x, row in _req(rec, "values", where, dict).items():
+                for y, v in _expect(row, dict, f"{where}.values[{x}]").items():
+                    table[(x, y)] = parse_rational(v, f"{where}.values[{x}][{y}]")
             JointWeight(ts_a, ts_b, table)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from exc
-        mf.joint_weights[name] = (rec["testspace_a"], rec["testspace_b"], table)
+            mf.joint_weights[name] = (rec["testspace_a"], rec["testspace_b"], table)
 
     return mf
 

@@ -6,11 +6,17 @@ pointed and spanning, the unit lies in the cone and dominates every basis
 direction.  States are functionals in dual coordinates, effects are vectors
 between 0 and the unit; both are plain tuples of Fractions.
 
-Questions about a space's own cone are answered from its facets,
-``dual_rays(space)``, computed by one double-description pass and cached.
-By Minkowski-Weyl the cone is exactly where every facet is nonnegative, so
-validation, cone membership, the order-unit test and the state vertices are
-sign checks against those facets.
+Validation computes the cone's facets by one double-description pass and
+stores them on the space as primitive ``int`` tuples, ``space.facets``.  By
+Minkowski-Weyl the cone is exactly where every facet is nonnegative, so
+validation, cone membership, effects and the order-unit test are sign checks:
+the query vector is scaled once to a primitive integer vector and compared
+against the stored facets by ``int`` dot products, with no Fraction per facet
+and no hashing of the space.  ``dual_rays`` and ``state_polytope_vertices``
+are the Fraction views of the same facets.  Both remain ``lru_cache``s keyed
+by the space: validation reaches its facets through ``dual_rays``, so equal
+spaces share one double-description pass, and the benchmark reads and clears
+the two caches by name until it counts facet computations another way.
 
 Sub-spaces built from an effect interval carry ``ambient_basis``, the row
 basis embedding their coordinates back into the parent space.  Closedness of
@@ -20,21 +26,21 @@ is a property of the representation, not something a finite test can probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from .errors import InputError, StructureError
 from .linalg import (
     Vec,
     is_zero_vec,
-    rank,
     rref,
     vdot,
     vec,
     vsub,
     vsum,
 )
-from .polyhedra import extreme_rays, in_cone, polytope_vertices
+from .polyhedra import _independent_subset, _int_ray, extreme_rays, in_cone, polytope_vertices
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,9 @@ class OrderUnitSpace:
     cone_generators: tuple
     unit: Vec
     ambient_basis: tuple | None = None
+    # The facet normals as primitive int tuples, set by validation.  Equal
+    # spaces have equal facets, so they take no part in equality or hashing.
+    facets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cone_generators",
@@ -70,19 +79,21 @@ def _validate_space(space: OrderUnitSpace):
             raise InputError("zero vector is not a cone ray")
     if len(space.unit) != d:
         raise InputError("unit dimension mismatch")
-    if rank(space.cone_generators) != d:
+    if _independent_subset([_int_ray(g) for g in space.cone_generators], d) is None:
         raise StructureError("cone generators do not span the space")
     # The facets exist only for spanning generators; the cone is pointed iff
     # they span the dual space, and the unit is interior iff no facet vanishes
     # on it.
-    facets = dual_rays(space)
-    if rank(facets) != d:
+    facets = tuple([tuple([x.numerator for x in f]) for f in dual_rays(space)])
+    if _independent_subset(facets, d) is None:
         raise StructureError("cone is not pointed")
-    values = [vdot(f, space.unit) for f in facets]
+    u = _int_ray(space.unit)
+    values = [sum(map(mul, f, u)) for f in facets]
     if any(x < 0 for x in values):
         raise StructureError("unit does not lie in the cone")
     if any(x == 0 for x in values):
         raise StructureError("unit is not an order unit")
+    object.__setattr__(space, "facets", facets)
 
 
 def space(generators, unit, dim=None) -> OrderUnitSpace:
@@ -99,9 +110,9 @@ def _check_dim(space: OrderUnitSpace, v) -> Vec:
 
 
 def cone_contains(space: OrderUnitSpace, v) -> bool:
-    """True iff every cached facet of the cone is nonnegative on v."""
-    v = _check_dim(space, v)
-    return all(vdot(f, v) >= 0 for f in dual_rays(space))
+    """True iff every stored facet of the cone is nonnegative on v."""
+    w = _int_ray(_check_dim(space, v))
+    return all(sum(map(mul, f, w)) >= 0 for f in space.facets)
 
 
 def is_effect(space: OrderUnitSpace, v) -> bool:
@@ -120,37 +131,41 @@ def is_state(space: OrderUnitSpace, f) -> bool:
 def dual_rays(space: OrderUnitSpace) -> tuple:
     """Extreme rays of {f : f(g) >= 0 on all cone generators}.
 
-    These are the facet normals of the cone, i.e. its H-representation."""
+    These are the facet normals of the cone, i.e. its H-representation, as
+    Fractions; ``space.facets`` holds the same rays as ints."""
     return tuple(extreme_rays(space.cone_generators, space.dim))
 
 
 @lru_cache(maxsize=None)
 def _state_vertices(space: OrderUnitSpace) -> tuple:
-    return tuple(sorted(tuple(x / vdot(f, space.unit) for x in f) for f in dual_rays(space)))
+    verts = []
+    for f in space.facets:
+        fu = vdot(f, space.unit)
+        verts.append(tuple([x / fu for x in f]))
+    return tuple(sorted(verts))
 
 
 def state_polytope_vertices(space: OrderUnitSpace) -> list:
     """The extreme points of {f : f >= 0 on the cone, f(unit) = 1}.
 
-    These are the cached facets, each scaled to take the value 1 on the unit."""
+    These are the stored facets, each scaled to take the value 1 on the unit."""
     return list(_state_vertices(space))
 
 
 def is_order_unit(space: OrderUnitSpace, v) -> bool:
-    """True iff v is interior to the cone: every cached facet is positive on v.
+    """True iff v is interior to the cone: every stored facet is positive on v.
 
     Equivalently, each basis direction e_i satisfies -t v <= e_i <= t v for
     some t > 0."""
-    v = _check_dim(space, v)
-    return all(vdot(f, v) > 0 for f in dual_rays(space))
+    w = _int_ray(_check_dim(space, v))
+    return all(sum(map(mul, f, w)) > 0 for f in space.facets)
 
 
 def interval_vertices(space: OrderUnitSpace, v) -> list:
     """Vertices of the order interval [0, v] = {x : x >= 0 and v - x >= 0}."""
     v = _check_dim(space, v)
-    facets = dual_rays(space)
-    ineqs = [(f, 0) for f in facets]
-    ineqs += [(tuple(-x for x in f), -vdot(f, v)) for f in facets]
+    ineqs = [(f, 0) for f in space.facets]
+    ineqs += [(tuple([-x for x in f]), -vdot(f, v)) for f in space.facets]
     return polytope_vertices(ineqs, [], space.dim)
 
 

@@ -118,6 +118,20 @@ def test_malformed_sections_exit_two(tmp_path):
          "joint_weights.j: joint weight missing pair ('x', 'y')"),
         (("joint_weights",), {"j": dict(joint, values=one_coin)},
          "joint_weights.j: joint weight is not a probability weight on the product"),
+        # errors raised by the constructors name the object too
+        (("spaces", "bit", "cone_generators"), [["1", "0"]],
+         "spaces.bit: cone generators do not span the space"),
+        (("spaces", "bit", "cone_generators"), [["1", "0"], ["-1", "0"], ["0", "1"]],
+         "spaces.bit: cone is not pointed"),
+        (("testspaces", "coin", "tests"), [], "testspaces.coin: a test space needs at least one test"),
+        (("models", "coin_model", "states", 0), {"x": "2", "y": "0"},
+         "models.coin_model: model state is not a probability weight"),
+        (("models", "coin_model", "testspace"), "nope", "models.coin_model: unknown testspace 'nope'"),
+        (("catalogs", "delta", "observables", 0, "effects", 0), ["0", "0"],
+         "catalogs.delta.observables[0]: observables exclude the zero effect"),
+        (("kernels", "k", "matrix"), [["1", "1"], ["0", "1"]], "kernels.k: kernel rows must sum to one"),
+        (("channels",), {"c": {"domain": "bit", "codomain": "bit", "matrix": [["1"]]}},
+         "channels.c: matrix shape does not match the two spaces"),
     ]
     for path, value, message in mutations:
         p.write_text(json.dumps(replaced(bit, path, value)))

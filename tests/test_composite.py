@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import rand_fraction
+from conftest import brute_extreme_rays, rand_fraction
 
 from gptk import composite
 from gptk.composite import (
@@ -31,6 +31,7 @@ from gptk.modj import Catalog, observable
 from gptk.ous import state_polytope_vertices
 from gptk.systems import (
     bit,
+    classical,
     classical_bit_model,
     coin_testspace,
     delta_catalog,
@@ -197,6 +198,33 @@ def test_cone_sandwich_on_samples():
             t = tuple(rand_fraction(rng) for _ in range(a.dim * b.dim))
             if min_cone_contains(a, b, t):
                 assert max_cone_contains(a, b, t)
+
+
+def _max_cone_oracle(a, b):
+    """Membership in the max tensor cone by Fraction sums over brute-force facets."""
+    fa = brute_extreme_rays(a.cone_generators, a.dim)
+    fb = brute_extreme_rays(b.cone_generators, b.dim)
+    return fa, lambda t: all(vdot(tensor_vec(f, g), t) >= 0 for f in fa for g in fb)
+
+
+def test_max_cone_contains_on_unequal_factors():
+    # factors of different dimension, so a row/column mix-up of the tensor shows
+    rng = random.Random(47)
+    for a, b in ((bit(), square_bit()), (square_bit(), bit()), (classical(3), square_bit())):
+        fa, oracle = _max_cone_oracle(a, b)
+        unit = tensor_vec(a.unit, b.unit)
+        points = [tuple(rand_fraction(rng) for _ in range(a.dim * b.dim)) for _ in range(25)]
+        points += [tuple(x + rand_fraction(rng, -1, 1) for x in unit) for _ in range(25)]
+        for f in fa:
+            # on the face where every f (x) g vanishes, and a hair outside it
+            face = [tensor_vec(g, h) for g in a.cone_generators if vdot(f, g) == 0
+                    for h in b.cone_generators]
+            edge = tuple(sum(F(rng.randint(0, 3), rng.randint(1, 3)) * v[k] for v in face)
+                         for k in range(a.dim * b.dim))
+            points += [edge, tuple(x - F(1, 10**9) * u for x, u in zip(edge, unit))]
+        answers = [max_cone_contains(a, b, t) for t in points]
+        assert answers == [oracle(t) for t in points]
+        assert True in answers and False in answers
 
 
 def test_classical_collapse_bit_bit():

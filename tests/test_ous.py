@@ -2,11 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import brute_polytope_vertices, rand_cone_element, rand_effect
+from conftest import brute_extreme_rays, brute_polytope_vertices, rand_cone_element, rand_effect
 from hypothesis import assume, given, settings, strategies as st
 
 from gptk.errors import InputError, StructureError
-from gptk.composite import min_rule
+from gptk import linalg
+from gptk.composite import max_cone_contains, max_rule, min_rule
 from gptk.linalg import basis_vec, rank, vadd, vdot, vec, vscale, vsub, vsum
 from gptk.ous import (
     OrderUnitSpace,
@@ -257,13 +258,57 @@ def _spanning_cones(draw):
 @settings(max_examples=60, deadline=None)
 @given(_spanning_cones(), st.data())
 def test_cone_contains_matches_generator_lp_on_random_cones(sp, data):
-    n = len(sp.cone_generators)
+    gens, u = sp.cone_generators, sp.unit
+    n = len(gens)
     coeffs = data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
-    combo = vsum((vscale(c, g) for c, g in zip(coeffs, sp.cone_generators)), sp.dim)
+    combo = vsum((vscale(c, g) for c, g in zip(coeffs, gens)), sp.dim)
     free = vec(data.draw(st.lists(st.fractions(-3, 3, max_denominator=5),
                                   min_size=sp.dim, max_size=sp.dim)))
-    for v in (combo, free):
-        assert cone_contains(sp, v) == in_cone(sp.cone_generators, v)
+    # entries over large coprime denominators, so scaling to integers meets a large lcm
+    fine = vec(data.draw(st.lists(st.fractions(-3, 3, max_denominator=10**12),
+                                  min_size=sp.dim, max_size=sp.dim)))
+    # exactly on a facet of the brute-force oracle, and a hair outside it
+    facet = data.draw(st.sampled_from(brute_extreme_rays(gens, sp.dim)))
+    face = [g for g in gens if vdot(facet, g) == 0]
+    weights = data.draw(st.lists(st.fractions(0, 3, max_denominator=10**12),
+                                 min_size=len(face), max_size=len(face)))
+    boundary = vsum((vscale(w, g) for w, g in zip(weights, face)), sp.dim)
+    outside = vsub(boundary, vscale(F(1, data.draw(st.integers(1, 10**12))), u))
+    zero = vec([0] * sp.dim)
+    assert cone_contains(sp, boundary) and not cone_contains(sp, outside)
+    for v in (combo, free, fine, boundary, outside, zero):
+        inside = in_cone(gens, v)
+        assert cone_contains(sp, v) == inside
+        assert is_effect(sp, v) == (inside and in_cone(gens, vsub(u, v)))
+        assert is_order_unit(sp, v) == _order_unit_by_definition(sp, v)
+
+
+def test_membership_tests_do_not_hash_the_space(monkeypatch):
+    # the facets stored on the space are read directly, not through a cache keyed by it
+    sq = square_bit()
+    targets = (min_rule(sq, sq).target, max_rule(sq, sq).target)
+    hashed = []
+    plain = OrderUnitSpace.__hash__
+    monkeypatch.setattr(OrderUnitSpace, "__hash__", lambda self: hashed.append(self) or plain(self))
+    for t in targets:
+        for v in (t.unit, t.cone_generators[0], vscale(-1, t.unit), vsub(t.cone_generators[0], t.unit)):
+            cone_contains(t, v)
+            is_effect(t, v)
+            is_order_unit(t, v)
+            max_cone_contains(sq, sq, v)
+    assert hashed == []
+
+
+def test_validation_makes_one_rref_call(monkeypatch):
+    # the rank checks eliminate integer rows; only the start-basis inverse of the
+    # double-description pass goes through the Fraction rref
+    calls = []
+    plain = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or plain(rows))
+    dual_rays.cache_clear()
+    _circle_polygon()
+    assert dual_rays.cache_info().misses == 1
+    assert len(calls) == 1
 
 
 def _order_unit_by_definition(sp, v):
